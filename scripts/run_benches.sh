@@ -13,7 +13,8 @@
 # uploads): the synthetic suite must keep "Widened queries" at 0 (the
 # 64-bit fast path), while the committed corpus flip case must decide
 # only under widening. Timings are wall-clock milliseconds of each whole
-# bench binary; compare them across CI runs, not within one.
+# bench binary; compare them across CI runs, not within one. A counter
+# the scrape cannot find is written as null and fails the script.
 set -e
 
 JSON_OUT=
@@ -126,7 +127,7 @@ echo "===== micro_test_cost ====="
 # fast path end to end, and the committed corpus case is the
 # seed-Unanalyzable problem that must now decide (only) at 128 bits.
 DEMO_STATS=$("$BUILD/tools/edda-cli" --stats \
-             "$REPO_ROOT/tests/inputs/demo.loop" | tail -1)
+             "$REPO_ROOT/tests/inputs/demo.loop" | sed -n '/^queries:/p')
 DEMO_QUERIES=$(printf '%s\n' "$DEMO_STATS" |
                sed -n 's/^queries: \([0-9]*\),.*/\1/p')
 DEMO_WIDENED=$(printf '%s\n' "$DEMO_STATS" |
@@ -196,3 +197,9 @@ FLIP_NOWIDEN=$("$BUILD/tools/edda-cli" --problem --no-widen \
   printf '}\n'
 } > "$JSON_OUT"
 echo "wrote $JSON_OUT"
+# A null is a counter the scrape above failed to find: a changed output
+# line, not a measurement. Fail so the broken scrape is noticed.
+if grep -n ': null' "$JSON_OUT" >&2; then
+  echo "error: $JSON_OUT has null values (a bench output line changed?)" >&2
+  exit 1
+fi

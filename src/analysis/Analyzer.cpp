@@ -28,6 +28,7 @@
 #include "opt/Pipeline.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -207,28 +208,58 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
   // Phase 1 (serial, cheap): enumerate candidate pairs in the canonical
   // (source ref, sink ref) order every downstream consumer relies on,
   // with each pair's common-loop count (loop-object prefix, as the
-  // builder computes it) and fingerprint key.
+  // builder computes it) and fingerprint key. Only refs to one array can
+  // pair, so refs are bucketed by ArrayId (dense, below numArrays()) with
+  // a stable counting sort; source ref I then scans only the later refs
+  // of its own bucket. Buckets keep ascending ref order, so the pairs
+  // come out in exactly the order of the all-pairs scan.
+  std::vector<unsigned> BucketEnd(Prog.numArrays() + 1, 0);
+  for (const ArrayReference &R : Refs) {
+    assert(R.ArrayId < Prog.numArrays() && "array id out of range");
+    ++BucketEnd[R.ArrayId + 1];
+  }
+  for (size_t A = 1; A < BucketEnd.size(); ++A)
+    BucketEnd[A] += BucketEnd[A - 1];
+  std::vector<unsigned> ByArray(Refs.size()); // ref ids, bucket by bucket
+  std::vector<unsigned> PosOf(Refs.size());   // ref id -> ByArray index
+  for (unsigned I = 0; I < Refs.size(); ++I) {
+    PosOf[I] = BucketEnd[Refs[I].ArrayId]++;
+    ByArray[PosOf[I]] = I;
+  }
+  // BucketEnd[A] now ends bucket A (the fill advanced each start).
+
+  // Calls Emit(I, J) for every candidate, in canonical order. A
+  // dependence needs a write on at least one side.
+  auto ForEachCandidate = [&](auto &&Emit) {
+    for (unsigned I = 0; I < Refs.size(); ++I) {
+      const unsigned End = BucketEnd[Refs[I].ArrayId];
+      for (unsigned P = PosOf[I]; P < End; ++P) {
+        unsigned J = ByArray[P];
+        if (Refs[I].IsWrite || Refs[J].IsWrite)
+          Emit(I, J);
+      }
+    }
+  };
+  size_t NumCandidates = 0;
+  ForEachCandidate([&](unsigned, unsigned) { ++NumCandidates; });
+
   std::vector<std::pair<unsigned, unsigned>> Candidates;
   std::vector<unsigned> CandCommon;
   std::vector<uint64_t> CandKey;
-  for (unsigned I = 0; I < Refs.size(); ++I) {
-    for (unsigned J = I; J < Refs.size(); ++J) {
-      // A dependence needs a write and a shared array.
-      if (!Refs[I].IsWrite && !Refs[J].IsWrite)
-        continue;
-      if (Refs[I].ArrayId != Refs[J].ArrayId)
-        continue;
-      Candidates.emplace_back(I, J);
-      unsigned Common = 0;
-      while (Common < Refs[I].Loops.size() &&
-             Common < Refs[J].Loops.size() &&
-             Refs[I].Loops[Common] == Refs[J].Loops[Common])
-        ++Common;
-      CandCommon.push_back(Common);
-      CandKey.push_back(
-          pairFingerprint(RefFp(Refs[I]), RefFp(Refs[J]), Common));
-    }
-  }
+  Candidates.reserve(NumCandidates);
+  CandCommon.reserve(NumCandidates);
+  CandKey.reserve(NumCandidates);
+  ForEachCandidate([&](unsigned I, unsigned J) {
+    Candidates.emplace_back(I, J);
+    unsigned Common = 0;
+    while (Common < Refs[I].Loops.size() &&
+           Common < Refs[J].Loops.size() &&
+           Refs[I].Loops[Common] == Refs[J].Loops[Common])
+      ++Common;
+    CandCommon.push_back(Common);
+    CandKey.push_back(
+        pairFingerprint(RefFp(Refs[I]), RefFp(Refs[J]), Common));
+  });
   Result.PairsConsidered = Candidates.size();
 
   // Re-analysis: match candidates against the previous result by

@@ -65,30 +65,47 @@ ExprPtr Expr::makeArrayRead(unsigned ArrayId,
   return Node;
 }
 
-ExprPtr Expr::substitute(
-    const std::function<ExprPtr(unsigned)> &Subst) const {
-  switch (Kind) {
+ExprPtr edda::substitute(const ExprPtr &E,
+                         const std::function<ExprPtr(unsigned)> &Subst) {
+  switch (E->kind()) {
   case ExprKind::Const:
-    return makeConst(Value);
+    return E;
   case ExprKind::Var: {
-    if (ExprPtr Repl = Subst(varId()))
-      return Repl;
-    return makeVar(varId());
+    ExprPtr Repl = Subst(E->varId());
+    return Repl ? Repl : E;
   }
   case ExprKind::Add:
-    return makeAdd(Lhs->substitute(Subst), Rhs->substitute(Subst));
   case ExprKind::Sub:
-    return makeSub(Lhs->substitute(Subst), Rhs->substitute(Subst));
-  case ExprKind::Mul:
-    return makeMul(Lhs->substitute(Subst), Rhs->substitute(Subst));
-  case ExprKind::Neg:
-    return makeNeg(Lhs->substitute(Subst));
+  case ExprKind::Mul: {
+    ExprPtr L = substitute(E->lhs(), Subst);
+    ExprPtr R = substitute(E->rhs(), Subst);
+    if (L == E->lhs() && R == E->rhs())
+      return E;
+    if (E->kind() == ExprKind::Add)
+      return Expr::makeAdd(std::move(L), std::move(R));
+    if (E->kind() == ExprKind::Sub)
+      return Expr::makeSub(std::move(L), std::move(R));
+    return Expr::makeMul(std::move(L), std::move(R));
+  }
+  case ExprKind::Neg: {
+    ExprPtr L = substitute(E->lhs(), Subst);
+    return L == E->lhs() ? E : Expr::makeNeg(std::move(L));
+  }
   case ExprKind::ArrayRead: {
+    const std::vector<ExprPtr> &Subs = E->subscripts();
+    // Copy the subscript list only once some subscript changes.
     std::vector<ExprPtr> NewSubs;
-    NewSubs.reserve(Subs.size());
-    for (const ExprPtr &S : Subs)
-      NewSubs.push_back(S->substitute(Subst));
-    return makeArrayRead(arrayId(), std::move(NewSubs));
+    for (size_t D = 0; D < Subs.size(); ++D) {
+      ExprPtr S = substitute(Subs[D], Subst);
+      if (NewSubs.empty() && S == Subs[D])
+        continue;
+      if (NewSubs.empty())
+        NewSubs.assign(Subs.begin(), Subs.begin() + D);
+      NewSubs.push_back(std::move(S));
+    }
+    if (NewSubs.empty())
+      return E;
+    return Expr::makeArrayRead(E->arrayId(), std::move(NewSubs));
   }
   }
   assert(false && "unknown expression kind");

@@ -29,7 +29,8 @@ namespace edda {
 
 class Expr;
 
-/// Expressions are immutable and shared; rewriting builds new nodes.
+/// Expressions are immutable and shared; rewriting builds new nodes for
+/// what changes and shares the rest.
 using ExprPtr = std::shared_ptr<const Expr>;
 
 /// Discriminator for Expr nodes.
@@ -95,11 +96,6 @@ public:
   static ExprPtr makeNeg(ExprPtr Operand);
   static ExprPtr makeArrayRead(unsigned ArrayId,
                                std::vector<ExprPtr> Subscripts);
-
-  /// Rebuilds the tree with every Var node mapped through \p Subst; a null
-  /// result from \p Subst keeps the variable reference unchanged.
-  ExprPtr substitute(
-      const std::function<ExprPtr(unsigned)> &Subst) const;
 
   /// Collects the ids of all variables referenced, in first-seen order.
   void collectVars(std::vector<unsigned> &Out) const;
@@ -188,6 +184,14 @@ private:
   void addTerm(unsigned VarId, int64_t Coeff);
   static AffineExpr overflowedExpr();
 };
+
+/// Maps every Var node of \p E through \p Subst; a null result from
+/// \p Subst keeps the variable reference unchanged. Subtrees in which
+/// nothing is replaced are shared with \p E, not copied: only the paths
+/// from the root to replaced variables are rebuilt, and \p E itself is
+/// returned when nothing is replaced.
+ExprPtr substitute(const ExprPtr &E,
+                   const std::function<ExprPtr(unsigned)> &Subst);
 
 /// Converts an expression tree to affine form. Returns std::nullopt when
 /// the tree is not affine (for example a product of two variables) or when

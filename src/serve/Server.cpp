@@ -138,6 +138,16 @@ struct ServeCore::Counters {
       DegradedRequests{0}, WallNs{0}, Checkpoints{0}, Evicted{0},
       WarmLoadedEntries{0}, WarmRejectedEntries{0}, PairsReused{0},
       PairsInvalidated{0};
+
+  /// Adds one analysis run's decision work.
+  void addWork(const DepStats &S) {
+    TestsRun.fetch_add(S.totalDecided(), std::memory_order_relaxed);
+    MemoHitsFull.fetch_add(S.MemoHitsFull, std::memory_order_relaxed);
+    MemoHitsNoBounds.fetch_add(S.MemoHitsNoBounds,
+                               std::memory_order_relaxed);
+    FmWork.fetch_add(S.FmWork, std::memory_order_relaxed);
+    WidenedQueries.fetch_add(S.WidenedQueries, std::memory_order_relaxed);
+  }
 };
 
 /// One edit-loop program: the incremental analyzer state plus the lock
@@ -429,15 +439,7 @@ ServeResponse ServeCore::handleAnalyze(const ServeRequest &R) {
   C->PairsConstant.fetch_add(Constant, std::memory_order_relaxed);
   C->PairsUnanalyzable.fetch_add(Unanalyzable,
                                  std::memory_order_relaxed);
-  C->TestsRun.fetch_add(Result.Stats.totalDecided(),
-                        std::memory_order_relaxed);
-  C->MemoHitsFull.fetch_add(Result.Stats.MemoHitsFull,
-                            std::memory_order_relaxed);
-  C->MemoHitsNoBounds.fetch_add(Result.Stats.MemoHitsNoBounds,
-                                std::memory_order_relaxed);
-  C->FmWork.fetch_add(Result.Stats.FmWork, std::memory_order_relaxed);
-  C->WidenedQueries.fetch_add(Result.Stats.WidenedQueries,
-                              std::memory_order_relaxed);
+  C->addWork(Result.Stats);
   if (Degraded)
     C->DegradedRequests.fetch_add(1, std::memory_order_relaxed);
   C->WallNs.fetch_add(WallNs, std::memory_order_relaxed);
@@ -530,15 +532,7 @@ ServeResponse ServeCore::handleFeatures(const ServeRequest &R) {
   C->PairsConstant.fetch_add(Constant, std::memory_order_relaxed);
   C->PairsUnanalyzable.fetch_add(Unanalyzable,
                                  std::memory_order_relaxed);
-  C->TestsRun.fetch_add(Result.Stats.totalDecided(),
-                        std::memory_order_relaxed);
-  C->MemoHitsFull.fetch_add(Result.Stats.MemoHitsFull,
-                            std::memory_order_relaxed);
-  C->MemoHitsNoBounds.fetch_add(Result.Stats.MemoHitsNoBounds,
-                                std::memory_order_relaxed);
-  C->FmWork.fetch_add(Result.Stats.FmWork, std::memory_order_relaxed);
-  C->WidenedQueries.fetch_add(Result.Stats.WidenedQueries,
-                              std::memory_order_relaxed);
+  C->addWork(Result.Stats);
   C->WallNs.fetch_add(WallNs, std::memory_order_relaxed);
 
   Stats.set("op", "features");
@@ -744,12 +738,14 @@ ServeResponse ServeCore::handleEdit(const ServeRequest &R,
   }
 
   ReanalyzeStats RS;
+  DepStats Work; // decisions of the re-run pairs only
   std::string Text, GraphText;
   {
     // Edits to one session serialize here; other sessions (and all
     // analyze/problem traffic) keep running on their own state.
     std::lock_guard<std::mutex> Lock(Session->Mutex);
     RS = Session->Incr.update(std::move(Prog));
+    Work = Session->Incr.result().Stats;
 
     ReportOptions Report;
     Report.Directions = R.Directions;
@@ -767,6 +763,11 @@ ServeResponse ServeCore::handleEdit(const ServeRequest &R,
   Stats.set("pairs", RS.PairsTotal);
   Stats.set("pairs_reused", RS.PairsReused);
   Stats.set("pairs_invalidated", RS.PairsInvalidated);
+  Stats.set("tests_run", Work.totalDecided());
+  Stats.set("cache_hits_full", Work.MemoHitsFull);
+  Stats.set("cache_hits_nobounds", Work.MemoHitsNoBounds);
+  Stats.set("fm_work", Work.FmWork);
+  Stats.set("widened", Work.WidenedQueries);
 
   ServeResponse Out;
   Out.Id = R.Id;
@@ -785,6 +786,7 @@ ServeResponse ServeCore::handleEdit(const ServeRequest &R,
   C->PairsReused.fetch_add(RS.PairsReused, std::memory_order_relaxed);
   C->PairsInvalidated.fetch_add(RS.PairsInvalidated,
                                 std::memory_order_relaxed);
+  C->addWork(Work);
   C->WallNs.fetch_add(WallNs, std::memory_order_relaxed);
 
   Stats.set("op", "edit");

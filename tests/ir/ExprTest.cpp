@@ -37,7 +37,7 @@ TEST(Expr, Rendering) {
 
 TEST(Expr, SubstituteReplacesVars) {
   ExprPtr E = Expr::makeAdd(Expr::makeVar(0), Expr::makeVar(1));
-  ExprPtr Out = E->substitute([](unsigned Id) -> ExprPtr {
+  ExprPtr Out = substitute(E, [](unsigned Id) -> ExprPtr {
     if (Id == 0)
       return Expr::makeConst(7);
     return nullptr;
@@ -49,11 +49,59 @@ TEST(Expr, SubstituteInsideArrayRead) {
   std::vector<ExprPtr> Subs;
   Subs.push_back(Expr::makeVar(0));
   ExprPtr E = Expr::makeArrayRead(5, std::move(Subs));
-  ExprPtr Out = E->substitute([](unsigned Id) -> ExprPtr {
+  ExprPtr Out = substitute(E, [](unsigned Id) -> ExprPtr {
     return Id == 0 ? Expr::makeConst(9) : nullptr;
   });
   ASSERT_EQ(Out->kind(), ExprKind::ArrayRead);
   EXPECT_EQ(Out->subscripts()[0]->constValue(), 9);
+}
+
+TEST(Expr, SubstituteHittingNoVariableReturnsInput) {
+  // (2 * v0) - (-v1) + a[v0, 3] with a map that never fires: the very
+  // same node comes back, nothing is copied.
+  std::vector<ExprPtr> Subs;
+  Subs.push_back(Expr::makeVar(0));
+  Subs.push_back(Expr::makeConst(3));
+  ExprPtr E = Expr::makeAdd(
+      Expr::makeSub(Expr::makeMul(Expr::makeConst(2), Expr::makeVar(0)),
+                    Expr::makeNeg(Expr::makeVar(1))),
+      Expr::makeArrayRead(4, std::move(Subs)));
+  ExprPtr Out = substitute(E, [](unsigned Id) -> ExprPtr {
+    return Id == 9 ? Expr::makeConst(1) : nullptr;
+  });
+  EXPECT_EQ(Out, E);
+}
+
+TEST(Expr, SubstituteRebuildsOnlyThePathToTheReplacedLeaf) {
+  // ((v0 + v1) * (v2 - 5)) + a[v3, v4 + 1]; replace v4 only.
+  ExprPtr Left = Expr::makeMul(
+      Expr::makeAdd(Expr::makeVar(0), Expr::makeVar(1)),
+      Expr::makeSub(Expr::makeVar(2), Expr::makeConst(5)));
+  ExprPtr First = Expr::makeVar(3);
+  ExprPtr One = Expr::makeConst(1);
+  std::vector<ExprPtr> Subs;
+  Subs.push_back(First);
+  Subs.push_back(Expr::makeAdd(Expr::makeVar(4), One));
+  ExprPtr Read = Expr::makeArrayRead(7, std::move(Subs));
+  ExprPtr E = Expr::makeAdd(Left, Read);
+
+  ExprPtr Repl = Expr::makeConst(8);
+  ExprPtr Out = substitute(E, [&Repl](unsigned Id) -> ExprPtr {
+    return Id == 4 ? Repl : nullptr;
+  });
+  EXPECT_EQ(Out->str(nameOf), "(((v0 + v1) * (v2 - 5)) + @7[v3][(8 + 1)])");
+  // Root -> array read -> second subscript -> leaf is rebuilt...
+  EXPECT_NE(Out, E);
+  EXPECT_NE(Out->rhs(), Read);
+  EXPECT_NE(Out->rhs()->subscripts()[1], Read->subscripts()[1]);
+  EXPECT_EQ(Out->rhs()->subscripts()[1]->lhs(), Repl);
+  // ...and every sibling subtree off that path is shared.
+  EXPECT_EQ(Out->lhs(), Left);
+  EXPECT_EQ(Out->rhs()->subscripts()[0], First);
+  EXPECT_EQ(Out->rhs()->subscripts()[1]->rhs(), One);
+  // The input is untouched.
+  EXPECT_EQ(E->rhs(), Read);
+  EXPECT_EQ(Read->subscripts()[1]->lhs()->varId(), 4u);
 }
 
 TEST(Expr, CollectVarsFirstSeenOrder) {

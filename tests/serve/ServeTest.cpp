@@ -516,6 +516,61 @@ TEST(Serve, StatsOpReportsEditCounters) {
   EXPECT_GT(Snapshot.PairsReused, 0u);
 }
 
+TEST(Serve, StatsOpSumsEditWork) {
+  // An edit-only session whose coupled subscripts need Fourier-Motzkin;
+  // the repeated nest makes the session's memo hit. The server-lifetime
+  // work counters must equal the sum over the edit responses.
+  auto Source = [](int BOffset, int AOffset) {
+    std::string Nest = "  for i = 1 to 10 do\n"
+                       "    for j = 1 to 10 do\n"
+                       "      a[i + j] = a[i + j + " +
+                       std::to_string(AOffset) +
+                       "] + 1\n"
+                       "      b[i + 2 * j] = b[2 * i + j + " +
+                       std::to_string(BOffset) +
+                       "] + 1\n"
+                       "    end\n"
+                       "  end\n";
+    return "program coupled\n  array a[100]\n  array b[100]\n" + Nest +
+           Nest + "end\n";
+  };
+  const std::vector<std::string> Versions = {Source(3, 5), Source(4, 5),
+                                             Source(4, 6), Source(3, 5)};
+  const char *Fields[] = {"tests_run", "cache_hits_full",
+                          "cache_hits_nobounds", "fm_work", "widened"};
+  std::vector<int64_t> Sums(std::size(Fields), 0);
+
+  ServeCore Core(ServeOptions{});
+  for (size_t V = 0; V < Versions.size(); ++V) {
+    ServeResponse E = Core.handle(
+        editRequest(static_cast<int64_t>(V + 1), Versions[V].c_str()));
+    ASSERT_TRUE(E.Ok) << E.Error;
+    const JsonValue &S = E.Body.get("stats");
+    for (size_t F = 0; F < Sums.size(); ++F) {
+      ASSERT_TRUE(S.get(Fields[F]).isNumber())
+          << Fields[F] << " missing from " << S.str();
+      Sums[F] += S.getInt(Fields[F]);
+    }
+    if (V > 0) {
+      EXPECT_GT(S.getInt("pairs_reused"), 0) << "edit " << V;
+    }
+  }
+  EXPECT_GT(Sums[3], 0) << "no edit needed Fourier-Motzkin";
+  EXPECT_GT(Sums[1], 0) << "the repeated nest never hit the memo";
+
+  ServeRequest R;
+  R.Id = 99;
+  R.Operation = ServeRequest::Op::Stats;
+  ServeResponse Stats = Core.handle(R);
+  ASSERT_TRUE(Stats.Ok) << Stats.Error;
+  const JsonValue &Server = Stats.Body.get("server");
+  for (size_t F = 0; F < Sums.size(); ++F)
+    EXPECT_EQ(Server.getInt(Fields[F]), Sums[F]) << Fields[F];
+  EXPECT_EQ(Server.getInt("edit_requests"),
+            static_cast<int64_t>(Versions.size()));
+  EXPECT_EQ(Server.getInt("analyze_requests"), 0);
+}
+
 TEST(Serve, WarmStartRejectsStaleFormatVersion) {
   // A v5 cache file (the pre-fingerprint format) must be rejected
   // loudly: the boot diagnostic names the stale version and the
