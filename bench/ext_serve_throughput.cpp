@@ -26,7 +26,6 @@
 
 #include "serve/Protocol.h"
 #include "serve/Server.h"
-#include "support/ThreadPool.h"
 
 #include <chrono>
 #include <condition_variable>
@@ -148,7 +147,7 @@ int main(int Argc, char **Argv) {
 
   std::printf("edda-serve throughput: %zu analyze requests "
               "(suite scale %.2f), %u-core host\n\n",
-              Lines.size(), Scale, ThreadPool::hardwareThreads());
+              Lines.size(), Scale, std::thread::hardware_concurrency());
   std::printf("%8s %10s | %12s %8s | %12s %8s | %7s\n", "clients",
               "threads", "cold req/s", "hit%", "warm req/s", "hit%",
               "speedup");

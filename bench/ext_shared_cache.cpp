@@ -15,10 +15,7 @@
 ///   per-program caches   — the paper's measured setup (Table 3);
 ///   one shared cache     — programs reuse each other's answers;
 ///   warm persisted cache — a second full compilation of the suite
-///                          starting from the first run's saved table;
-///   parallel shared cache — the shared-cache compilation fanned out
-///                          across 1/2/4/8 worker threads; hit counts
-///                          must not change with the thread count.
+///                          starting from the first run's saved table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +24,6 @@
 #include "opt/Pipeline.h"
 #include "parser/Parser.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -44,11 +40,9 @@ uint64_t exactTests(const DepStats &S) {
 }
 
 /// Analyzes the whole suite through one analyzer (sharing its cache);
-/// returns the accumulated stats and optionally the wall-clock cost.
+/// returns the accumulated stats.
 DepStats runShared(DependenceAnalyzer &Analyzer,
-                   const GeneratorOptions &GOpts,
-                   uint64_t *Micros = nullptr) {
-  auto T0 = std::chrono::steady_clock::now();
+                   const GeneratorOptions &GOpts) {
   DepStats Total;
   for (const ProgramProfile &Profile : perfectClubProfiles()) {
     std::string Source = generateProgramSource(Profile, GOpts);
@@ -58,10 +52,6 @@ DepStats runShared(DependenceAnalyzer &Analyzer,
     Program Prog = std::move(*Parsed.Prog);
     Total += Analyzer.analyze(Prog).Stats;
   }
-  if (Micros)
-    *Micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count();
   return Total;
 }
 
@@ -119,34 +109,5 @@ int main() {
               100.0 *
                   (exactTests(PerProgram) - exactTests(SharedStats)) /
                   static_cast<double>(exactTests(PerProgram)));
-
-  // The shared-cache compilation again, fanned out across worker
-  // threads: the concurrent sharded cache must reproduce the exact
-  // same hit counts at every thread count.
-  std::printf("\nshared cache under the parallel analyzer\n");
-  std::printf("%-10s %12s %14s %14s\n", "threads", "micros",
-              "exact tests", "cache hits");
-  rule(54);
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    AnalyzerOptions ThreadedOpts = AOpts;
-    ThreadedOpts.NumThreads = Threads;
-    DependenceAnalyzer Threaded(ThreadedOpts);
-    uint64_t Micros = 0;
-    DepStats Stats = runShared(Threaded, GOpts, &Micros);
-    std::printf("%-10u %12llu %14llu %14llu\n", Threads,
-                static_cast<unsigned long long>(Micros),
-                static_cast<unsigned long long>(exactTests(Stats)),
-                static_cast<unsigned long long>(Stats.MemoHitsFull +
-                                                Stats.MemoHitsNoBounds));
-    if (exactTests(Stats) != exactTests(SharedStats) ||
-        Stats.MemoHitsFull + Stats.MemoHitsNoBounds !=
-            SharedStats.MemoHitsFull + SharedStats.MemoHitsNoBounds) {
-      std::fprintf(stderr,
-                   "FAIL: %u-thread shared cache diverged from serial\n",
-                   Threads);
-      return 1;
-    }
-  }
-  rule(54);
   return 0;
 }

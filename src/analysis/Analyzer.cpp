@@ -5,21 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The parallel driver's determinism argument, in one place:
-///
-///  1. Pair enumeration, problem construction and memo keying are pure
-///     per pair, so they fan out freely; results land in slots indexed
-///     by the serial enumeration order.
-///  2. Two tested pairs can observe each other through the cache only
-///     when their without-bounds memo keys are equal (the with-bounds
-///     key extends the without-bounds key, so equal full keys imply
-///     equal no-bounds keys). Pairs are therefore grouped by
-///     without-bounds key and each group runs sequentially, in serial
-///     enumeration order, inside one worker task. Across groups the
-///     cache is accessed on disjoint keys, so every pair sees exactly
-///     the hits and misses a serial run would have produced.
-///  3. Per-group DepStats are summed after the barrier; counter sums
-///     are order-independent.
+/// The driver is one serial pass over the candidate pairs in canonical
+/// (source ref, sink ref) order. Only tested pairs touch the memo
+/// tables, in that order, so every pair sees the hits and misses of
+/// that order; docs/ALGORITHMS.md section 9 describes the pass and why
+/// it has no thread dimension.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,59 +24,12 @@
 
 using namespace edda;
 
-namespace {
-
-/// Resolves MemoOptions::Shards = 0 (auto): one shard for the serial
-/// analyzer — byte-identical to the pre-sharding cache — or a few
-/// shards per worker so concurrent lookups rarely collide on a lock.
-MemoOptions resolveMemoOptions(const AnalyzerOptions &Opts,
-                               unsigned NumThreads) {
-  MemoOptions M = Opts.Memo;
-  if (M.Shards == 0)
-    M.Shards = NumThreads <= 1 ? 1 : std::min(64u, NumThreads * 4);
-  return M;
-}
-
-unsigned resolveThreads(unsigned NumThreads) {
-  return NumThreads == 0 ? ThreadPool::hardwareThreads() : NumThreads;
-}
-
-AnalyzerOptions resolveOptions(AnalyzerOptions Opts) {
-  Opts.NumThreads = resolveThreads(Opts.NumThreads);
-  Opts.Memo = resolveMemoOptions(Opts, Opts.NumThreads);
-  return Opts;
-}
-
-struct VectorHash {
-  size_t operator()(const std::vector<int64_t> &V) const {
-    size_t H = V.size();
-    for (int64_t X : V)
-      H = H * 1099511628211ull + static_cast<uint64_t>(X);
-    return H;
-  }
-};
-
-} // namespace
-
 DependenceAnalyzer::DependenceAnalyzer(AnalyzerOptions O)
-    : Opts(resolveOptions(std::move(O))), Owned(Opts.Memo) {}
+    : Opts(std::move(O)), Owned(Opts.Memo) {}
 
 DependenceAnalyzer::DependenceAnalyzer(AnalyzerOptions O,
                                        DependenceCache &SharedCache)
-    : Opts(resolveOptions(std::move(O))), Owned(MemoOptions{}),
-      External(&SharedCache) {}
-
-void DependenceAnalyzer::runIndexed(
-    size_t N, const std::function<void(size_t)> &Body) {
-  if (Opts.NumThreads <= 1 || N <= 1) {
-    for (size_t I = 0; I < N; ++I)
-      Body(I);
-    return;
-  }
-  if (!Pool)
-    Pool = std::make_unique<ThreadPool>(Opts.NumThreads);
-  Pool->parallelFor(N, Body);
-}
+    : Opts(std::move(O)), Owned(MemoOptions{}), External(&SharedCache) {}
 
 void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
                                           DependencePair &Pair,
@@ -177,8 +120,9 @@ void DependenceAnalyzer::decideTestedPair(const BuiltProblem &Built,
   Pair.Exact = Outcome.Exact && Built.Exact;
 }
 
-AnalysisResult DependenceAnalyzer::analyze(Program &Prog) {
-  return analyzeImpl(Prog, /*Prev=*/nullptr, /*RS=*/nullptr);
+AnalysisResult DependenceAnalyzer::analyze(Program &Prog,
+                                           ReanalyzeStats *RS) {
+  return analyzeImpl(Prog, /*Prev=*/nullptr, RS);
 }
 
 AnalysisResult
@@ -205,7 +149,7 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
                                        : R.Fingerprint;
   };
 
-  // Phase 1 (serial, cheap): enumerate candidate pairs in the canonical
+  // Phase 1 (cheap): enumerate candidate pairs in the canonical
   // (source ref, sink ref) order every downstream consumer relies on,
   // with each pair's common-loop count (loop-object prefix, as the
   // builder computes it) and fingerprint key. Only refs to one array can
@@ -301,47 +245,18 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
     RS->PairsTotal = RS->PairsInvalidated = Candidates.size();
   }
 
-  // Phase 2 (parallel): build each candidate's dependence problem and,
-  // when the cache is in play, its without-bounds memo key — the
-  // determinism grouping key. Pure per candidate. Reused candidates
-  // skip the build entirely; that skip, not edge bookkeeping, is what
-  // makes re-analysis O(edit).
-  struct BuiltCandidate {
-    std::optional<BuiltProblem> Built;
-    bool AllConstantEqs = false;
-    std::vector<int64_t> GroupKey;
-  };
-  std::vector<BuiltCandidate> BuiltPairs(Candidates.size());
-  runIndexed(Candidates.size(), [&](size_t C) {
-    if (Reused[C])
-      return;
-    auto [I, J] = Candidates[C];
-    BuiltCandidate &BC = BuiltPairs[C];
-    BC.Built = buildProblem(Prog, Refs[I], Refs[J]);
-    if (!BC.Built)
-      return;
-    BC.AllConstantEqs = true;
-    for (const XAffine &Eq : BC.Built->Problem.Equations)
-      BC.AllConstantEqs = BC.AllConstantEqs && Eq.isConstant();
-    if (!BC.AllConstantEqs && Opts.UseMemoization) {
-      bool Swapped;
-      BC.GroupKey =
-          cache().keyFor(BC.Built->Problem, /*IncludeBounds=*/false,
-                       Swapped);
-    }
-  });
-
-  // Phase 3 (serial): assemble the ordered pair list. Unanalyzable and
-  // all-constant pairs are decided inline — they never touch the cache
-  // and cost next to nothing. Tested pairs get a slot now and a task
-  // for the fan-out.
-  std::vector<size_t> TaskCandidate; // candidate index per task
-  std::vector<size_t> TaskSlot;      // Result.Pairs index per task
+  // Phase 2 (in candidate order): splice each reused pair, or build the
+  // pair's problem, decide it, trace it when asked, and drop it. Reused
+  // candidates skip the build entirely; that skip, not edge bookkeeping,
+  // is what makes re-analysis O(edit).
+  const TestPipeline *TracePipeline = nullptr;
+  if (Opts.Trace)
+    TracePipeline = Opts.Cascade.Pipeline ? Opts.Cascade.Pipeline.get()
+                                          : &TestPipeline::defaultPipeline();
+  Result.Pairs.reserve(Candidates.size());
   for (size_t C = 0; C < Candidates.size(); ++C) {
     auto [I, J] = Candidates[C];
-    BuiltCandidate &BC = BuiltPairs[C];
-
-    DependencePair Pair;
+    DependencePair &Pair = Result.Pairs.emplace_back();
     Pair.RefA = I;
     Pair.RefB = J;
 
@@ -360,38 +275,35 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
       // intentionally cover only re-run pairs.
       if (Pair.DecidedBy == TestKind::Unanalyzable)
         ++Result.UnanalyzablePairs;
-      Result.Pairs.push_back(std::move(Pair));
       continue;
     }
 
-    if (!BC.Built) {
+    std::optional<BuiltProblem> Built = buildProblem(Prog, Refs[I], Refs[J]);
+    if (!Built) {
       ++Result.UnanalyzablePairs;
       Pair.Answer = DepAnswer::Unknown;
       Pair.DecidedBy = TestKind::Unanalyzable;
       Pair.Exact = false;
       // Clients (the parallelizer) still need the common nest to
       // serialize conservatively.
-      for (unsigned L = 0; L < Refs[I].Loops.size() &&
-                           L < Refs[J].Loops.size() &&
-                           Refs[I].Loops[L] == Refs[J].Loops[L];
-           ++L)
+      for (unsigned L = 0; L < CandCommon[C]; ++L)
         Pair.CommonLoops.push_back(Refs[I].Loops[L]);
       Result.Stats.recordDecision(TestKind::Unanalyzable, false);
-      Result.Pairs.push_back(std::move(Pair));
       continue;
     }
-    Pair.CommonLoops = BC.Built->CommonLoops;
+    const DependenceProblem &Problem = Built->Problem;
+    Pair.CommonLoops = std::move(Built->CommonLoops);
 
     // Array constants are handled without dependence testing (paper
     // section 4) — and without memoization overhead, which would
     // otherwise dominate constant-heavy programs like LG.
-    if (BC.AllConstantEqs) {
-      const DependenceProblem &Problem = BC.Built->Problem;
+    if (std::all_of(Problem.Equations.begin(), Problem.Equations.end(),
+                    [](const XAffine &Eq) { return Eq.isConstant(); })) {
       CascadeResult Outcome =
           testDependence(Problem, Opts.Cascade, &Result.Stats);
       Pair.Answer = Outcome.Answer;
       Pair.DecidedBy = Outcome.DecidedBy;
-      Pair.Exact = Outcome.Exact && BC.Built->Exact;
+      Pair.Exact = Outcome.Exact && Built->Exact;
       if (Opts.ComputeDirections &&
           Pair.Answer != DepAnswer::Independent) {
         DirectionResult Dirs;
@@ -405,65 +317,27 @@ AnalysisResult DependenceAnalyzer::analyzeImpl(Program &Prog,
         Dirs.Vectors.push_back(DirVector(Problem.NumCommon, Dir::Any));
         Pair.Directions = std::move(Dirs);
       }
-      Result.Pairs.push_back(std::move(Pair));
-      continue;
+    } else {
+      decideTestedPair(*Built, Pair, Result.Stats, CandKey[C]);
+    }
+    // The serving layer's classification: constant and unanalyzable
+    // pairs are neither memo hits nor tests.
+    if (RS && Pair.DecidedBy != TestKind::Unanalyzable) {
+      if (Pair.FromCache)
+        ++RS->PairsCached;
+      else if (Pair.DecidedBy != TestKind::ArrayConstant)
+        ++RS->PairsTested;
     }
 
-    TaskCandidate.push_back(C);
-    TaskSlot.push_back(Result.Pairs.size());
-    Result.Pairs.push_back(std::move(Pair));
-  }
-
-  // Phase 4 (serial, cheap): batch tasks into determinism groups. With
-  // memoization on, tasks sharing a without-bounds key form one group,
-  // ordered by first occurrence; with it off every task is independent.
-  std::vector<std::vector<size_t>> Groups;
-  if (Opts.UseMemoization) {
-    std::unordered_map<std::vector<int64_t>, size_t, VectorHash>
-        GroupIndex;
-    for (size_t T = 0; T < TaskCandidate.size(); ++T) {
-      const std::vector<int64_t> &Key =
-          BuiltPairs[TaskCandidate[T]].GroupKey;
-      auto [It, Inserted] = GroupIndex.emplace(Key, Groups.size());
-      if (Inserted)
-        Groups.emplace_back();
-      Groups[It->second].push_back(T);
-    }
-  } else {
-    Groups.resize(TaskCandidate.size());
-    for (size_t T = 0; T < TaskCandidate.size(); ++T)
-      Groups[T].push_back(T);
-  }
-
-  // Phase 5 (parallel): decide each group. Groups touch disjoint cache
-  // keys, so inter-group scheduling cannot change any outcome.
-  std::vector<DepStats> GroupStats(Groups.size());
-  runIndexed(Groups.size(), [&](size_t G) {
-    for (size_t T : Groups[G])
-      decideTestedPair(*BuiltPairs[TaskCandidate[T]].Built,
-                       Result.Pairs[TaskSlot[T]], GroupStats[G],
-                       CandKey[TaskCandidate[T]]);
-  });
-  for (const DepStats &S : GroupStats)
-    Result.Stats += S;
-
-  // Optional trace pass: re-run the pipeline observationally on every
-  // analyzable pair — no stats, no memoization — so the records show
-  // what each stage did without perturbing the results above. Phase 3
-  // pushed exactly one pair per candidate, so candidate C's outcome
-  // lives in Result.Pairs[C].
-  if (Opts.Trace) {
-    const TestPipeline &Pipeline = Opts.Cascade.Pipeline
-                                       ? *Opts.Cascade.Pipeline
-                                       : TestPipeline::defaultPipeline();
-    runIndexed(Candidates.size(), [&](size_t C) {
-      if (!BuiltPairs[C].Built)
-        return;
+    // Optional trace: re-run the pipeline observationally — no stats,
+    // no memoization — so the records show what each stage did without
+    // perturbing the outcome above.
+    if (TracePipeline) {
       PipelineTrace Trace;
-      Pipeline.run(BuiltPairs[C].Built->Problem, {}, Opts.Cascade,
-                   /*Stats=*/nullptr, &Trace);
-      Result.Pairs[C].Trace = std::move(Trace);
-    });
+      TracePipeline->run(Problem, {}, Opts.Cascade, /*Stats=*/nullptr,
+                         &Trace);
+      Pair.Trace = std::move(Trace);
+    }
   }
   return Result;
 }

@@ -13,13 +13,9 @@
 /// cascade (and optionally direction/distance vector computation) on
 /// misses.
 ///
-/// With NumThreads > 1 the driver fans the per-pair work out across an
-/// internal thread pool. Results are bit-identical to a serial run: the
-/// pair list keeps its (source ref, sink ref) enumeration order, and
-/// pairs whose memoization keys could interact are batched into one
-/// sequential unit of work, so every pair sees exactly the cache state a
-/// serial run would have shown it (see docs/ALGORITHMS.md, "Parallel
-/// analysis").
+/// The driver runs serially, deciding pairs in their (source ref, sink
+/// ref) enumeration order (see docs/ALGORITHMS.md, "Whole-program
+/// driver").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,11 +29,8 @@
 #include "deptest/Stats.h"
 #include "deptest/TestPipeline.h"
 #include "ir/Program.h"
-#include "support/ThreadPool.h"
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -61,10 +54,6 @@ struct AnalyzerOptions {
   /// enabling it cannot perturb results; expect roughly double the
   /// testing cost.
   bool Trace = false;
-  /// Worker threads for the ref-pair fan-out. 1 (the default) runs the
-  /// exact serial pipeline on the calling thread; 0 means one thread
-  /// per hardware core. Results are identical at every thread count.
-  unsigned NumThreads = 1;
   /// Fault-injection hook for the fuzzer's `incr` axis: key re-analysis
   /// reuse on the bounds-free reference fingerprints, so bound edits go
   /// undetected and stale results get spliced in. Never set outside the
@@ -82,6 +71,12 @@ struct ReanalyzeStats {
   uint64_t PairsReused = 0;
   /// Pairs built and decided afresh (including new pairs).
   uint64_t PairsInvalidated = 0;
+  /// The re-run pairs split as the serving layer counts them: answered
+  /// from the memo tables, versus run through the cascade or direction
+  /// hierarchy. Constant and unanalyzable pairs count in neither, so
+  /// PairsCached + PairsTested <= PairsInvalidated.
+  uint64_t PairsCached = 0;
+  uint64_t PairsTested = 0;
   /// Pair keys present in the previous result but absent from the new
   /// program, sorted; callers feed them to
   /// DependenceCache::invalidateFingerprints to bound store growth.
@@ -120,8 +115,8 @@ struct AnalysisResult {
 /// Runs dependence analysis over a program. The analyzer owns the
 /// memoization tables, which persist across analyze() calls (so a
 /// benchmark suite shares one cache, as the paper's compiler did within
-/// a compilation). analyze() itself parallelizes internally; concurrent
-/// analyze() calls on one analyzer are not supported.
+/// a compilation). Concurrent analyze() calls on one analyzer are not
+/// supported.
 class DependenceAnalyzer {
 public:
   explicit DependenceAnalyzer(AnalyzerOptions Opts = {});
@@ -136,8 +131,9 @@ public:
   /// FromCache flags vary).
   DependenceAnalyzer(AnalyzerOptions Opts, DependenceCache &SharedCache);
 
-  /// Analyzes \p Prog (mutating it when the prepass is enabled).
-  AnalysisResult analyze(Program &Prog);
+  /// Analyzes \p Prog (mutating it when the prepass is enabled). \p RS,
+  /// when given, counts every pair as re-run.
+  AnalysisResult analyze(Program &Prog, ReanalyzeStats *RS = nullptr);
 
   /// Analyzes \p Prog reusing \p Previous — the result of an earlier
   /// analyze()/reanalyze() under the same options — wherever the
@@ -145,7 +141,7 @@ public:
   /// whose two references have unchanged subscripts, array, and
   /// enclosing bound chains (and the same common-loop count) builds the
   /// identical dependence problem, so its previous outcome is spliced
-  /// in verbatim and only the remaining pairs are re-run on the pool.
+  /// in verbatim and only the remaining pairs are re-run.
   /// No diff against the old program text is needed; the fingerprints
   /// stored in Previous.Refs carry everything the comparison requires.
   ///
@@ -158,19 +154,12 @@ public:
 
   DependenceCache &cache() { return External ? *External : Owned; }
   const AnalyzerOptions &options() const { return Opts; }
-  /// The resolved worker count (NumThreads with 0 expanded).
-  unsigned threadCount() const { return Opts.NumThreads; }
 
 private:
   AnalyzerOptions Opts;
   DependenceCache Owned;
   /// When set, cache() resolves here instead of Owned.
   DependenceCache *External = nullptr;
-  /// Created on the first parallel analyze(), reused afterwards.
-  std::unique_ptr<ThreadPool> Pool;
-
-  /// Runs Body(0..N-1): on the pool when parallel, inline when serial.
-  void runIndexed(size_t N, const std::function<void(size_t)> &Body);
 
   /// Shared body of analyze()/reanalyze(); \p Prev enables fingerprint
   /// reuse.

@@ -27,8 +27,7 @@ ReanalyzeStats IncrementalSession::update(Program NewProg) {
   ReanalyzeStats RS;
   if (!Current) {
     Current.emplace(std::move(NewProg));
-    Result = Analyzer.analyze(*Current);
-    RS.PairsTotal = RS.PairsInvalidated = Result.Pairs.size();
+    Result = Analyzer.analyze(*Current, &RS);
   } else {
     // Re-analyze against the previous result, then retire the previous
     // program: reuse reads only the fingerprints stored in Result.Refs,

@@ -490,94 +490,15 @@ bool DependenceCache::saveToFile(const std::string &Path) const {
   // the DecidedBy integer encoding. Version 4: full entries carry the
   // Widened flag (128-bit retry provenance). Version 5: direction
   // entries carry Widened/RootWidened. Version 6: full and direction
-  // entries carry a fingerprint tag (incremental invalidation). Older
-  // caches are rejected on load, with their entry counts reported via
-  // CacheLoadStats.
-  Out << "edda-depcache 6\n";
+  // entries carry a fingerprint tag (incremental invalidation). Any
+  // other version is rejected on its header; CacheLoadStats reports the
+  // version the file declared.
+  Out << "edda-depcache " << FileVersion << "\n";
   Out << FullCount << "\n" << FullBlob.str();
   Out << DirCount << "\n" << DirBlob.str();
   Out << GcdCount << "\n" << GcdBlob.str();
   return static_cast<bool>(Out);
 }
-
-namespace {
-
-/// Structural skipping of cache format versions 3-5, enough to count
-/// the entries of a rejected file (a full parse is unnecessary: only
-/// the counts are reported, so warm-start callers can log what they
-/// dropped rather than silently cold-start).
-bool skipLegacyFullEntry(std::istream &In, int Version) {
-  std::vector<int64_t> K;
-  if (!readVector(In, K))
-    return false;
-  int Ints = Version >= 4 ? 4 : 3; // v4 added the Widened flag.
-  int64_t Tmp;
-  for (int I = 0; I < Ints; ++I)
-    if (!(In >> Tmp))
-      return false;
-  return true;
-}
-
-bool skipLegacyDirEntry(std::istream &In, int Version) {
-  std::vector<int64_t> K;
-  if (!readVector(In, K))
-    return false;
-  // v5 added Widened/RootWidened to the Root/RootBy/Exact header.
-  int Ints = Version >= 5 ? 5 : 3;
-  int64_t Tmp;
-  for (int I = 0; I < Ints; ++I)
-    if (!(In >> Tmp))
-      return false;
-  size_t NumVectors, NumDistances;
-  if (!(In >> NumVectors >> NumDistances) || NumVectors > (1u << 20) ||
-      NumDistances > (1u << 10))
-    return false;
-  for (size_t V = 0; V < NumVectors; ++V) {
-    size_t Len;
-    if (!(In >> Len) || Len > (1u << 10))
-      return false;
-    for (size_t D = 0; D < Len; ++D)
-      if (!(In >> Tmp))
-        return false;
-  }
-  for (size_t D = 0; D < NumDistances; ++D) {
-    std::string Tag;
-    if (!(In >> Tag))
-      return false;
-    if (Tag == "d") {
-      if (!(In >> Tmp))
-        return false;
-    } else if (Tag != "u") {
-      return false;
-    }
-  }
-  return true;
-}
-
-uint64_t countLegacyEntries(std::istream &In, int Version) {
-  if (Version < 3 || Version > 5)
-    return 0; // Unknown shape; nothing trustworthy to count.
-  uint64_t Rejected = 0;
-  size_t Count;
-  if (!(In >> Count) || Count > (1u << 24))
-    return Rejected;
-  Rejected += Count;
-  for (size_t I = 0; I < Count; ++I)
-    if (!skipLegacyFullEntry(In, Version))
-      return Rejected;
-  if (!(In >> Count) || Count > (1u << 24))
-    return Rejected;
-  Rejected += Count;
-  for (size_t I = 0; I < Count; ++I)
-    if (!skipLegacyDirEntry(In, Version))
-      return Rejected;
-  if (!(In >> Count) || Count > (1u << 24))
-    return Rejected;
-  Rejected += Count; // GCD entries need no skipping: nothing follows.
-  return Rejected;
-}
-
-} // namespace
 
 bool DependenceCache::loadFromFile(const std::string &Path) {
   return loadFromFile(Path, nullptr);
@@ -596,11 +517,8 @@ bool DependenceCache::loadFromFile(const std::string &Path,
     return false;
   if (LoadStats)
     LoadStats->FileVersion = Version;
-  if (Version != 6) {
-    if (LoadStats)
-      LoadStats->RejectedEntries = countLegacyEntries(In, Version);
+  if (Version != FileVersion)
     return false;
-  }
 
   uint64_t Loaded = 0;
   size_t Count;

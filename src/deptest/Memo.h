@@ -18,8 +18,8 @@
 ///
 /// The cache is safe for concurrent lookup/insert: the tables are split
 /// into independently-locked shards selected by the memo hash of the
-/// key, so under the parallel analyzer the hot path takes one
-/// uncontended lock. Shard count 1 degenerates to the original
+/// key, so under edda-serve's request pool the hot path takes one
+/// rarely-contended lock. Shard count 1 degenerates to the original
 /// single-table behaviour. Sharding never changes which key maps to
 /// which entry — only which mutex guards it — so results are identical
 /// at every shard count.
@@ -67,9 +67,9 @@ struct MemoOptions {
   bool CanonicalizeEquations = false;
   MemoHashKind Hash = MemoHashKind::Mixing;
   /// Number of independently-locked shards (rounded up to a power of
-  /// two). 0 = auto: 1 shard for a serial analyzer, a few shards per
-  /// thread otherwise (the analyzer resolves this from its thread
-  /// count). Sharding affects contention only, never results.
+  /// two; 0 counts as 1). One shard suits a cache used by one thread;
+  /// edda-serve sizes it to its request pool. Sharding affects
+  /// contention only, never results.
   unsigned Shards = 0;
   /// Maintain a last-use stamp per full/direction entry (updated on
   /// hit and insert, under the shard lock already held) so
@@ -86,15 +86,16 @@ struct CacheLoadStats {
   int FileVersion = 0;
   /// Entries loaded into the tables (current-format files only).
   uint64_t LoadedEntries = 0;
-  /// Entries present in the file but dropped because its format version
-  /// is not the current one.
-  uint64_t RejectedEntries = 0;
 };
 
 /// The two-table dependence cache.
 class DependenceCache {
 public:
   explicit DependenceCache(MemoOptions Opts = {});
+
+  /// The cache-file format version saveToFile() writes and the only one
+  /// loadFromFile() accepts.
+  static constexpr int FileVersion = 6;
 
   const MemoOptions &options() const { return Opts; }
 
@@ -162,10 +163,9 @@ public:
   bool saveToFile(const std::string &Path) const;
   bool loadFromFile(const std::string &Path);
   /// As above, additionally reporting what happened: on a format-version
-  /// mismatch the load still fails (returns false) but \p LoadStats
-  /// says which version the file declared and how many entries were
-  /// rejected with it, so warm-start callers can log the loss instead
-  /// of silently cold-starting.
+  /// mismatch the load fails (returns false, loading nothing) but
+  /// \p LoadStats says which version the file declared, so warm-start
+  /// callers can log the stale format instead of silently cold-starting.
   bool loadFromFile(const std::string &Path, CacheLoadStats *LoadStats);
 
   /// Size-bounded "LRU-ish" eviction for long-lived caches: removes

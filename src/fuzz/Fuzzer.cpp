@@ -45,8 +45,6 @@ const char *fuzzAxisName(FuzzAxis Axis) {
     return "pipeline";
   case FuzzAxis::Widen:
     return "widen";
-  case FuzzAxis::Threads:
-    return "threads";
   case FuzzAxis::Memo:
     return "memo";
   case FuzzAxis::Incr:
@@ -241,13 +239,11 @@ bool memoRoundTripFails(const DependenceProblem &P, bool Widen) {
   return Failed;
 }
 
-/// Per-pair comparison for the threads and whole-program memo axes.
-/// \p CacheSensitive also requires identical FromCache flags (true for
-/// the serial-vs-threads bit-identical guarantee; false across a
-/// save/load, where hitting the preloaded cache is the point).
+/// Per-pair comparison for the whole-program memo axis. FromCache is
+/// not compared: across a save/load, hitting the preloaded cache is the
+/// point.
 std::optional<std::string> comparePairs(const AnalysisResult &A,
-                                        const AnalysisResult &B,
-                                        bool CacheSensitive) {
+                                        const AnalysisResult &B) {
   if (A.Refs.size() != B.Refs.size())
     return "reference count mismatch";
   if (A.Pairs.size() != B.Pairs.size())
@@ -269,8 +265,6 @@ std::optional<std::string> comparePairs(const AnalysisResult &A,
              testKindName(PB.DecidedBy);
     if (PA.Exact != PB.Exact)
       return Where.str() + "exactness differs";
-    if (CacheSensitive && PA.FromCache != PB.FromCache)
-      return Where.str() + "cache provenance differs";
     if (PA.Directions.has_value() != PB.Directions.has_value())
       return Where.str() + "direction presence differs";
     if (PA.Directions &&
@@ -874,85 +868,54 @@ void FuzzRunner::checkProgram(const std::string &Source, uint64_t Iter) {
       return;
   }
 
-  AnalyzerOptions Serial;
-  Serial.ComputeDirections = true;
-  Serial.NumThreads = 1;
-  Serial.Cascade.Widen = Opts.Widen;
-  Serial.Direction.Cascade.Widen = Opts.Widen;
+  if (Opts.CheckMemo) {
+    // Whole-program cache persistence: a reload must reproduce every
+    // answer (cache provenance legitimately flips to hits).
+    AnalyzerOptions Serial;
+    Serial.ComputeDirections = true;
+    Serial.Cascade.Widen = Opts.Widen;
+    Serial.Direction.Cascade.Widen = Opts.Widen;
 
-  if (Opts.CheckThreads) {
     Program Copy1 = *PR.Prog;
     DependenceAnalyzer A1(Serial);
     AnalysisResult Res1 = A1.analyze(Copy1);
+    ++S.MemoRoundTrips;
 
-    AnalyzerOptions Parallel = Serial;
-    Parallel.NumThreads = Opts.Threads;
-    Program Copy2 = *PR.Prog;
-    DependenceAnalyzer A2(Parallel);
-    AnalysisResult Res2 = A2.analyze(Copy2);
-
-    if (std::optional<std::string> Mismatch =
-            comparePairs(Res1, Res2, /*CacheSensitive=*/true)) {
-      auto ThreadsFail = [this, &Serial](const std::string &Src) {
+    std::string Path = tempCachePath("prog");
+    bool Saved = A1.cache().saveToFile(Path);
+    DependenceAnalyzer A3(Serial);
+    bool Loaded = Saved && A3.cache().loadFromFile(Path);
+    std::error_code EC;
+    fs::remove(Path, EC);
+    std::optional<std::string> Mis;
+    if (!Saved || !Loaded) {
+      Mis = "cache save/load failed";
+    } else {
+      Program Copy3 = *PR.Prog;
+      AnalysisResult Res3 = A3.analyze(Copy3);
+      Mis = comparePairs(Res1, Res3);
+    }
+    if (Mis) {
+      auto MemoFail = [this, &Serial](const std::string &Src) {
         ParseResult R = parseProgram(Src);
         if (!R.succeeded())
           return false;
-        Program CA = *R.Prog, CB = *R.Prog;
+        Program CA = *R.Prog;
         DependenceAnalyzer SA(Serial);
-        AnalyzerOptions PO = Serial;
-        PO.NumThreads = Opts.Threads;
-        DependenceAnalyzer PA(PO);
-        return comparePairs(SA.analyze(CA), PA.analyze(CB), true)
-            .has_value();
+        AnalysisResult RA = SA.analyze(CA);
+        std::string P = tempCachePath("prog-shrink");
+        DependenceAnalyzer SB(Serial);
+        bool OK = SA.cache().saveToFile(P) && SB.cache().loadFromFile(P);
+        std::error_code E2;
+        fs::remove(P, E2);
+        if (!OK)
+          return true;
+        Program CB = *R.Prog;
+        return comparePairs(RA, SB.analyze(CB)).has_value();
       };
-      reportProgram(FuzzAxis::Threads, Iter,
-                    "serial vs --threads " + std::to_string(Opts.Threads) +
-                        ": " + *Mismatch,
-                    shrinkProgramSource(Source, ThreadsFail));
-      if (done())
-        return;
-    }
-
-    if (Opts.CheckMemo) {
-      // Whole-program cache persistence: a reload must reproduce every
-      // answer (cache provenance legitimately flips to hits).
-      std::string Path = tempCachePath("prog");
-      bool Saved = A1.cache().saveToFile(Path);
-      DependenceAnalyzer A3(Serial);
-      bool Loaded = Saved && A3.cache().loadFromFile(Path);
-      std::error_code EC;
-      fs::remove(Path, EC);
-      std::optional<std::string> Mis;
-      if (!Saved || !Loaded) {
-        Mis = "cache save/load failed";
-      } else {
-        Program Copy3 = *PR.Prog;
-        AnalysisResult Res3 = A3.analyze(Copy3);
-        Mis = comparePairs(Res1, Res3, /*CacheSensitive=*/false);
-      }
-      if (Mis) {
-        auto MemoFail = [this, &Serial](const std::string &Src) {
-          ParseResult R = parseProgram(Src);
-          if (!R.succeeded())
-            return false;
-          Program CA = *R.Prog;
-          DependenceAnalyzer SA(Serial);
-          AnalysisResult RA = SA.analyze(CA);
-          std::string P = tempCachePath("prog-shrink");
-          DependenceAnalyzer SB(Serial);
-          bool OK = SA.cache().saveToFile(P) &&
-                    SB.cache().loadFromFile(P);
-          std::error_code E2;
-          fs::remove(P, E2);
-          if (!OK)
-            return true;
-          Program CB = *R.Prog;
-          return comparePairs(RA, SB.analyze(CB), false).has_value();
-        };
-        reportProgram(FuzzAxis::Memo, Iter,
-                      "whole-program cache round-trip: " + *Mis,
-                      shrinkProgramSource(Source, MemoFail));
-      }
+      reportProgram(FuzzAxis::Memo, Iter,
+                    "whole-program cache round-trip: " + *Mis,
+                    shrinkProgramSource(Source, MemoFail));
     }
   }
 }

@@ -8,7 +8,7 @@
 /// \file
 /// The edda-fuzz engine: generates random DependenceProblems and whole
 /// LoopLang programs from a seed and cross-checks the analysis stack
-/// along nine differential axes:
+/// along eight differential axes:
 ///
 ///   oracle    cascade verdict vs. brute-force enumeration (symbolic
 ///             problems via the sampled-concretization soundness check),
@@ -30,8 +30,6 @@
 ///             decide they must agree; answers only the widened run
 ///             produces are witness-verified or checked against the
 ///             enumeration oracle;
-///   threads   serial analyzer vs. --threads N on the same program,
-///             bit-identical pair results required;
 ///   memo      cache save/load round-trips must preserve every cached
 ///             answer (including the Widened provenance bit), both
 ///             problem batches and whole-program caches;
@@ -89,7 +87,6 @@ enum class FuzzAxis {
             ///< own pruning option combinations.
   Pipeline, ///< Default vs. permuted stage orders.
   Widen,    ///< Widened cascade vs. the 64-bit-only cascade.
-  Threads,  ///< Serial vs. multi-threaded analyzer.
   Memo,     ///< Cache persistence round-trip.
   Incr,     ///< Incremental re-analysis vs. from-scratch graphs.
   Xform,    ///< Transformation search vs. fresh analysis, interpreter
@@ -146,14 +143,11 @@ struct FuzzOptions {
   double TimeBudgetSeconds = 0;
   /// Directory for minimized reproducers; empty writes none.
   std::string OutDir;
-  /// Thread count for the parallel-analyzer axis.
-  unsigned Threads = 4;
   /// Which axes run (all by default; --check narrows).
   bool CheckOracle = true;
   bool CheckDirs = true;
   bool CheckPipeline = true;
   bool CheckWiden = true;
-  bool CheckThreads = true;
   bool CheckMemo = true;
   bool CheckIncr = true;
   bool CheckXform = true;
@@ -172,7 +166,7 @@ struct FuzzOptions {
   FuzzProblemOptions Problem;
   RandomProgramOptions Program;
   /// Every Nth iteration generates a whole program instead of a bare
-  /// problem (the threads and whole-program memo axes need programs).
+  /// problem (the whole-program memo axis needs programs).
   unsigned ProgramEvery = 8;
 };
 
@@ -198,6 +192,9 @@ struct FuzzSummary {
   uint64_t OracleConclusive = 0;
   /// Same denominator for the direction/distance axis.
   uint64_t DirsConclusive = 0;
+  /// Program iterations whose whole-program cache save/load/re-analyze
+  /// round-trip ran (memo axis coverage).
+  uint64_t MemoRoundTrips = 0;
   std::vector<FuzzFailure> Failures;
 
   bool ok() const { return Failures.empty(); }

@@ -136,8 +136,7 @@ struct ServeCore::Counters {
       ProblemsTested{0}, ProblemsCached{0}, TestsRun{0}, MemoHitsFull{0},
       MemoHitsNoBounds{0}, FmWork{0}, WidenedQueries{0},
       DegradedRequests{0}, WallNs{0}, Checkpoints{0}, Evicted{0},
-      WarmLoadedEntries{0}, WarmRejectedEntries{0}, PairsReused{0},
-      PairsInvalidated{0};
+      WarmLoadedEntries{0}, PairsReused{0}, PairsInvalidated{0};
 
   /// Adds one analysis run's decision work.
   void addWork(const DepStats &S) {
@@ -168,8 +167,7 @@ struct ServeCore::EditSession {
 static MemoOptions servingMemoOptions(unsigned Threads) {
   MemoOptions M;
   M.TrackRecency = true;
-  // A few shards per worker keeps the hot path on uncontended locks
-  // (same resolution the parallel analyzer uses for its own cache).
+  // A few shards per worker keeps the hot path on uncontended locks.
   M.Shards = 4 * std::max(1u, Threads);
   return M;
 }
@@ -197,23 +195,16 @@ ServeCore::ServeCore(ServeOptions O, std::string *Error)
         C->WarmLoadedEntries.store(Cache.uniqueFull() +
                                    Cache.uniqueDirections() +
                                    Cache.uniqueNoBounds());
-      } else {
-        // Report what was lost instead of silently cold-starting: a
-        // stale-format file says how many entries it held, and the
-        // count stays visible through the stats op afterwards.
-        C->WarmRejectedEntries.store(LoadStats.RejectedEntries);
-        if (Error) {
-          *Error = "warm-start file '" + Opts.CachePath + "' ";
-          if (LoadStats.FileVersion != 0 &&
-              LoadStats.RejectedEntries != 0)
-            *Error += "declares stale format version " +
-                      std::to_string(LoadStats.FileVersion) +
-                      "; rejected " +
-                      std::to_string(LoadStats.RejectedEntries) +
-                      " entries and cold-starting";
-          else
-            *Error += "is unreadable or has a bad format; cold-starting";
-        }
+      } else if (Error) {
+        // Say why instead of silently cold-starting.
+        *Error = "warm-start file '" + Opts.CachePath + "' ";
+        if (LoadStats.FileVersion != 0 &&
+            LoadStats.FileVersion != DependenceCache::FileVersion)
+          *Error += "declares stale format version " +
+                    std::to_string(LoadStats.FileVersion) +
+                    "; cold-starting";
+        else
+          *Error += "is unreadable or has a bad format; cold-starting";
       }
     }
   }
@@ -349,7 +340,6 @@ ServeResponse ServeCore::handleAnalyze(const ServeRequest &R) {
   // across requests, so those results stay mutually consistent).
   AO.UseMemoization = R.FmBudget == 0;
   AO.ComputeDirections = R.Directions;
-  AO.NumThreads = 1;
   AO.Trace = R.Explain;
   AO.Cascade.Pipeline = Pipe;
   AO.Cascade.Widen = R.Widen;
@@ -478,7 +468,6 @@ ServeResponse ServeCore::handleFeatures(const ServeRequest &R) {
   // The direction summaries and distance histograms are the point of
   // the op, so directions are always computed.
   AO.ComputeDirections = true;
-  AO.NumThreads = 1;
   AO.Cascade.Pipeline = Pipe;
   AO.Cascade.Widen = R.Widen;
   AO.Direction.Cascade.Pipeline = Pipe;
@@ -703,8 +692,7 @@ ServeResponse ServeCore::handleEdit(const ServeRequest &R,
       // as it does to every analyze request.
       AnalyzerOptions AO;
       AO.RunPrepass = R.Prepass;
-      AO.NumThreads = 1;
-      AO.Cascade.Pipeline = Pipe;
+          AO.Cascade.Pipeline = Pipe;
       AO.Cascade.Widen = R.Widen;
       AO.Direction.Cascade.Pipeline = Pipe;
       AO.Direction.Cascade.Widen = R.Widen;
@@ -763,6 +751,8 @@ ServeResponse ServeCore::handleEdit(const ServeRequest &R,
   Stats.set("pairs", RS.PairsTotal);
   Stats.set("pairs_reused", RS.PairsReused);
   Stats.set("pairs_invalidated", RS.PairsInvalidated);
+  Stats.set("pairs_cached", RS.PairsCached);
+  Stats.set("pairs_tested", RS.PairsTested);
   Stats.set("tests_run", Work.totalDecided());
   Stats.set("cache_hits_full", Work.MemoHitsFull);
   Stats.set("cache_hits_nobounds", Work.MemoHitsNoBounds);
@@ -786,6 +776,8 @@ ServeResponse ServeCore::handleEdit(const ServeRequest &R,
   C->PairsReused.fetch_add(RS.PairsReused, std::memory_order_relaxed);
   C->PairsInvalidated.fetch_add(RS.PairsInvalidated,
                                 std::memory_order_relaxed);
+  C->PairsCached.fetch_add(RS.PairsCached, std::memory_order_relaxed);
+  C->PairsTested.fetch_add(RS.PairsTested, std::memory_order_relaxed);
   C->addWork(Work);
   C->WallNs.fetch_add(WallNs, std::memory_order_relaxed);
 
@@ -826,7 +818,6 @@ JsonValue ServeCore::statsJson() const {
   O.set("checkpoints", S.Checkpoints);
   O.set("evicted", S.Evicted);
   O.set("warm_loaded_entries", S.WarmLoadedEntries);
-  O.set("warm_rejected_entries", S.WarmRejectedEntries);
   O.set("unique_full", Cache.uniqueFull());
   O.set("unique_directions", Cache.uniqueDirections());
   O.set("unique_nobounds", Cache.uniqueNoBounds());
@@ -863,7 +854,6 @@ ServeStats ServeCore::stats() const {
   S.Checkpoints = C->Checkpoints.load();
   S.Evicted = C->Evicted.load();
   S.WarmLoadedEntries = C->WarmLoadedEntries.load();
-  S.WarmRejectedEntries = C->WarmRejectedEntries.load();
   S.PairsReused = C->PairsReused.load();
   S.PairsInvalidated = C->PairsInvalidated.load();
   return S;

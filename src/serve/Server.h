@@ -41,7 +41,7 @@
 #include "deptest/Memo.h"
 #include "deptest/TestPipeline.h"
 #include "serve/Protocol.h"
-#include "support/ThreadPool.h"
+#include "serve/ThreadPool.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -96,8 +96,9 @@ struct ServeStats {
   uint64_t ProblemRequests = 0;
   uint64_t EditRequests = 0;
   uint64_t Errors = 0;
-  /// Reference-pair accounting across analyze requests. "Tested" ran
-  /// the cascade, "cached" was served from the store; constant and
+  /// Reference-pair accounting across analyze, features and edit
+  /// requests (edits count only their re-run pairs). "Tested" ran the
+  /// cascade, "cached" was served from a memo store; constant and
   /// unanalyzable pairs are never memoized, so the serving hit rate
   /// is PairsCached / (PairsCached + PairsTested), with problem-op
   /// decisions folded in.
@@ -117,10 +118,6 @@ struct ServeStats {
   uint64_t Checkpoints = 0;
   uint64_t Evicted = 0;
   uint64_t WarmLoadedEntries = 0;
-  /// Warm-start entries dropped at boot because the file declared a
-  /// stale cache format version (surfaced instead of silently
-  /// cold-starting).
-  uint64_t WarmRejectedEntries = 0;
   /// Incremental accounting across edit requests: pairs whose previous
   /// outcome was spliced in because their content fingerprints were
   /// unchanged, versus pairs rebuilt and re-tested. The reuse ratio —

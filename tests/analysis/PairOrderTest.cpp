@@ -9,11 +9,11 @@
 /// Holds the analyzer's candidate-pair enumeration to the canonical
 /// all-pairs order: every (I, J) with I <= J over the reference list,
 /// same array, at least one side a write, in ascending (I, J). Result
-/// pair order feeds reports, graphs, memo determinism groups and
+/// pair order feeds reports, graphs, the order of memo lookups and
 /// re-analysis reuse, so the enumeration may get faster but never
 /// reorder, drop or add a pair. Checked on the PERFECT suite, random
 /// programs and a many-array program, for analyze and for reanalyze
-/// after an edit, serial and threaded.
+/// after an edit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,27 +62,22 @@ Program parse(const std::string &Source) {
 }
 
 /// Analyzes \p Source from scratch, then applies one seeded random edit
-/// and re-analyzes against the first result, at 1 and 4 threads; both
-/// results must enumerate pairs in canonical order.
+/// and re-analyzes against the first result; both results must
+/// enumerate pairs in canonical order.
 void checkSource(const std::string &Source, uint64_t EditSeed,
                  const std::string &What) {
-  for (unsigned Threads : {1u, 4u}) {
-    std::string Tag = What + " @" + std::to_string(Threads) + "t";
-    AnalyzerOptions Opts;
-    Opts.NumThreads = Threads;
-    DependenceAnalyzer Analyzer(Opts);
+  DependenceAnalyzer Analyzer;
 
-    Program Base = parse(Source);
-    Program Master(Base);
-    AnalysisResult Before = Analyzer.analyze(Base);
-    expectCanonicalOrder(Before, Tag + " analyze");
+  Program Base = parse(Source);
+  Program Master(Base);
+  AnalysisResult Before = Analyzer.analyze(Base);
+  expectCanonicalOrder(Before, What + " analyze");
 
-    SplitRng Rng(EditSeed);
-    std::string Desc = applyRandomEdit(Master, Rng);
-    Program Edited = parse(Master.print());
-    AnalysisResult After = Analyzer.reanalyze(Edited, Before);
-    expectCanonicalOrder(After, Tag + " reanalyze after " + Desc);
-  }
+  SplitRng Rng(EditSeed);
+  std::string Desc = applyRandomEdit(Master, Rng);
+  Program Edited = parse(Master.print());
+  AnalysisResult After = Analyzer.reanalyze(Edited, Before);
+  expectCanonicalOrder(After, What + " reanalyze after " + Desc);
 }
 
 /// Many arrays, refs of each array spread over many statements and

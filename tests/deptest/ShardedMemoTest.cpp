@@ -62,8 +62,8 @@ TEST(ShardedMemo, ShardCountOneDegeneratesToSingleTable) {
 TEST(ShardedMemo, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(DependenceCache(withShards(3)).shardCount(), 4u);
   EXPECT_EQ(DependenceCache(withShards(16)).shardCount(), 16u);
-  // 0 = auto resolves to at least one shard.
-  EXPECT_GE(DependenceCache(withShards(0)).shardCount(), 1u);
+  // 0 counts as one shard.
+  EXPECT_EQ(DependenceCache(withShards(0)).shardCount(), 1u);
 }
 
 TEST(ShardedMemo, ShardingDoesNotChangeResults) {

@@ -37,7 +37,6 @@ FuzzOptions quickOptions(uint64_t Seed, uint64_t Count) {
   FuzzOptions Opts;
   Opts.Seed = Seed;
   Opts.Count = Count;
-  Opts.Threads = 2; // Keep the parallel axis cheap under ctest load.
   return Opts;
 }
 
@@ -83,6 +82,25 @@ TEST(Fuzzer, CleanTreeHasNoMismatches) {
   EXPECT_GT(S.Programs, 0u);
 }
 
+TEST(Fuzzer, MemoAxisAloneRunsWholeProgramRoundTrip) {
+  // --check memo alone must still save, reload and re-analyze whole
+  // programs, not just round-trip the problem batches.
+  FuzzOptions Opts = quickOptions(7, 160);
+  Opts.CheckOracle = false;
+  Opts.CheckDirs = false;
+  Opts.CheckPipeline = false;
+  Opts.CheckWiden = false;
+  Opts.CheckIncr = false;
+  Opts.CheckXform = false;
+  Opts.CheckWidth = false;
+  FuzzSummary S = runFuzz(Opts);
+  EXPECT_TRUE(S.ok()) << S.Failures.size() << " memo mismatches; first: "
+                      << (S.Failures.empty() ? ""
+                                             : S.Failures[0].Detail);
+  EXPECT_GT(S.MemoRoundTrips, 0u);
+  EXPECT_LE(S.MemoRoundTrips, S.Programs);
+}
+
 TEST(Fuzzer, InjectedBugIsCaughtAndShrunk) {
   FuzzOptions Opts = quickOptions(1, 2000);
   Opts.Bug = InjectedBug::NegateEqConst;
@@ -117,7 +135,6 @@ TEST(Fuzzer, MisSignedPruningBugIsCaughtAndShrunk) {
   Opts.CheckOracle = false;
   Opts.CheckPipeline = false;
   Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
   Opts.CheckMemo = false;
   Opts.CheckXform = false;
   Opts.CheckWidth = false;
@@ -153,7 +170,6 @@ TEST(Fuzzer, FmDarkShadowBugIsCaughtAndShrunk) {
   Opts.Bug = InjectedBug::FmDarkShadow;
   Opts.CheckPipeline = false;
   Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
   Opts.CheckMemo = false;
   Opts.CheckIncr = false;
   Opts.CheckXform = false;
@@ -191,7 +207,6 @@ TEST(Fuzzer, XformAxisCleanOnRandomPrograms) {
   Opts.CheckDirs = false;
   Opts.CheckPipeline = false;
   Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
   Opts.CheckMemo = false;
   Opts.CheckIncr = false;
   Opts.CheckWidth = false;
@@ -211,7 +226,6 @@ TEST(Fuzzer, WidthAxisCleanOnRandomPrograms) {
   Opts.CheckDirs = false;
   Opts.CheckPipeline = false;
   Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
   Opts.CheckMemo = false;
   Opts.CheckIncr = false;
   Opts.CheckXform = false;
@@ -236,7 +250,6 @@ TEST(Fuzzer, MisSignedSkewBugIsCaughtAndShrunk) {
   Opts.CheckDirs = false;
   Opts.CheckPipeline = false;
   Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
   Opts.CheckMemo = false;
   Opts.CheckIncr = false;
   Opts.CheckWidth = false;
@@ -406,7 +419,6 @@ TEST(Fuzzer, IncrAxisCleanOnRandomEditSequences) {
   Opts.CheckDirs = false;
   Opts.CheckPipeline = false;
   Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
   Opts.CheckMemo = false;
   Opts.CheckXform = false;
   Opts.CheckWidth = false;
@@ -427,7 +439,6 @@ TEST(Fuzzer, StaleFingerprintBugIsCaughtAndShrunk) {
   Opts.CheckDirs = false;
   Opts.CheckPipeline = false;
   Opts.CheckWiden = false;
-  Opts.CheckThreads = false;
   Opts.CheckMemo = false;
   Opts.CheckXform = false;
   Opts.CheckWidth = false;

@@ -20,8 +20,6 @@
 ///   --print-optimized   print the program after the prepass
 ///   --no-prepass        analyze the program as written
 ///   --no-memo           disable memoization
-///   --threads N         analyze with N worker threads (0 = one per
-///                       core); results are identical at any N
 ///   --cache FILE        load/save the memo tables (persistence across
 ///                       compilations, the paper's section 5 extension)
 ///   --stats             print cascade decision statistics
@@ -47,7 +45,6 @@
 #include "serve/Render.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -72,7 +69,6 @@ struct CliOptions {
   bool ListTests = false;
   bool Explain = false;
   bool Widen = true;
-  unsigned Threads = 1;
   std::shared_ptr<const TestPipeline> Pipeline;
   std::string CachePath;
   std::string InputPath;
@@ -83,7 +79,7 @@ int usage(const char *Prog) {
       stderr,
       "usage: %s [--directions] [--graph] [--dot FILE] [--parallelize]\n"
       "          [--print-optimized] [--no-prepass] [--no-memo]\n"
-      "          [--threads N] [--cache FILE] [--stats]\n"
+      "          [--cache FILE] [--stats]\n"
       "          [--pipeline SPEC] [--explain] [--no-widen] file.loop\n"
       "       %s --problem [--directions] file.dep\n"
       "       %s --list-tests\n",
@@ -169,17 +165,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
     }
-    else if (Arg == "--threads") {
-      if (I + 1 >= Argc)
-        return false;
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Argv[++I], &End, 10);
-      if (End == Argv[I] || *End != '\0' || N > 1024) {
-        std::fprintf(stderr, "bad --threads value '%s'\n", Argv[I]);
-        return false;
-      }
-      Opts.Threads = static_cast<unsigned>(N);
-    }
     else if (Arg == "--cache") {
       if (I + 1 >= Argc)
         return false;
@@ -257,7 +242,6 @@ int main(int Argc, char **Argv) {
   Opts.ComputeDirections = Cli.Directions || Cli.Graph ||
                            Cli.Parallelize || Cli.Transforms ||
                            !Cli.DotPath.empty();
-  Opts.NumThreads = Cli.Threads;
   Opts.Cascade.Pipeline = Cli.Pipeline;
   Opts.Cascade.Widen = Cli.Widen;
   Opts.Direction.Cascade.Pipeline = Cli.Pipeline;

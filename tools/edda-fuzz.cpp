@@ -16,11 +16,9 @@
 ///                     budget is given)
 ///   --time-budget S   wall-clock budget in seconds
 ///   --check LIST      comma-separated axes to run: any of
-///                     oracle,dirs,pipeline,widen,threads,memo,incr,
-///                     xform,width (default all)
+///                     oracle,dirs,pipeline,widen,memo,incr,xform,
+///                     width (default all)
 ///   --out DIR         write minimized reproducers into DIR
-///   --threads N       thread count for the parallel-analyzer axis
-///                     (default 4)
 ///   --no-widen        run every cascade 64-bit-only (the historical
 ///                     behavior); the widen axis becomes vacuous
 ///
@@ -49,16 +47,16 @@ int usage(const char *Prog) {
       stderr,
       "usage: %s [--seed N] [--count N] [--time-budget SECONDS]\n"
       "          [--check "
-      "oracle,dirs,pipeline,widen,threads,memo,incr,xform,width]\n"
-      "          [--out DIR] [--threads N] [--no-widen]\n",
+      "oracle,dirs,pipeline,widen,memo,incr,xform,width]\n"
+      "          [--out DIR] [--no-widen]\n",
       Prog);
   return 2;
 }
 
 bool parseChecks(const std::string &List, FuzzOptions &Opts) {
   Opts.CheckOracle = Opts.CheckDirs = Opts.CheckPipeline =
-      Opts.CheckWiden = Opts.CheckThreads = Opts.CheckMemo =
-          Opts.CheckIncr = Opts.CheckXform = Opts.CheckWidth = false;
+      Opts.CheckWiden = Opts.CheckMemo = Opts.CheckIncr =
+          Opts.CheckXform = Opts.CheckWidth = false;
   std::istringstream In(List);
   std::string Tok;
   while (std::getline(In, Tok, ',')) {
@@ -70,8 +68,6 @@ bool parseChecks(const std::string &List, FuzzOptions &Opts) {
       Opts.CheckPipeline = true;
     else if (Tok == "widen")
       Opts.CheckWiden = true;
-    else if (Tok == "threads")
-      Opts.CheckThreads = true;
     else if (Tok == "memo")
       Opts.CheckMemo = true;
     else if (Tok == "incr")
@@ -83,8 +79,8 @@ bool parseChecks(const std::string &List, FuzzOptions &Opts) {
     else {
       std::fprintf(stderr,
                    "edda-fuzz: unknown axis '%s' (valid: oracle, "
-                   "dirs, pipeline, widen, threads, memo, incr, "
-                   "xform, width)\n",
+                   "dirs, pipeline, widen, memo, incr, xform, "
+                   "width)\n",
                    Tok.c_str());
       return false;
     }
@@ -129,13 +125,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return 2;
       Opts.OutDir = V;
-    } else if (Arg == "--threads") {
-      const char *V = NextValue("--threads");
-      if (!V)
-        return 2;
-      Opts.Threads = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
-      if (Opts.Threads == 0)
-        Opts.Threads = 1;
     } else if (Arg == "--no-widen") {
       Opts.Widen = false;
     } else if (Arg == "--inject-bug" ||
@@ -176,13 +165,15 @@ int main(int Argc, char **Argv) {
 
   std::printf("edda-fuzz: seed %llu: %llu iterations (%llu problems, "
               "%llu programs), oracle conclusive on %llu, dirs "
-              "conclusive on %llu, %zu failure(s)\n",
+              "conclusive on %llu, %llu program cache round-trip(s), "
+              "%zu failure(s)\n",
               static_cast<unsigned long long>(Opts.Seed),
               static_cast<unsigned long long>(S.Iterations),
               static_cast<unsigned long long>(S.Problems),
               static_cast<unsigned long long>(S.Programs),
               static_cast<unsigned long long>(S.OracleConclusive),
               static_cast<unsigned long long>(S.DirsConclusive),
+              static_cast<unsigned long long>(S.MemoRoundTrips),
               S.Failures.size());
   for (const FuzzFailure &F : S.Failures)
     std::printf("  [%s] iteration %llu: %s%s%s\n", fuzzAxisName(F.Axis),
